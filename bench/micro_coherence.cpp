@@ -1,5 +1,5 @@
 // google-benchmark microbenchmarks for the coherence simulator: replay
-// throughput per protocol and line size.
+// throughput per protocol and line size, and with finite LRU caches.
 #include <benchmark/benchmark.h>
 
 #include "circuit/generator.hpp"
@@ -47,7 +47,25 @@ void BM_CoherenceProtocols(benchmark::State& state) {
 BENCHMARK(BM_CoherenceProtocols)
     ->Arg(static_cast<int>(ProtocolKind::kWriteBackInvalidate))
     ->Arg(static_cast<int>(ProtocolKind::kWriteThrough))
-    ->Arg(static_cast<int>(ProtocolKind::kMesi));
+    ->Arg(static_cast<int>(ProtocolKind::kMesi))
+    ->Arg(static_cast<int>(ProtocolKind::kDragon));
+
+/// Finite per-processor LRU caches (WBI, 8-byte lines): the pooled LRU
+/// lists plus capacity evictions on top of the line directory.
+void BM_CoherenceLru(benchmark::State& state) {
+  const RefTrace& trace = tiny_trace();
+  CoherenceParams params;
+  params.line_size = 8;
+  params.capacity_lines = static_cast<std::int32_t>(state.range(0));
+  for (auto _ : state) {
+    CoherenceSim sim(4, params);
+    sim.replay(trace);
+    benchmark::DoNotOptimize(sim.traffic().total_bytes());
+  }
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<std::int64_t>(trace.size()));
+}
+BENCHMARK(BM_CoherenceLru)->Arg(128)->Arg(2048);
 
 }  // namespace
 

@@ -5,6 +5,7 @@
 //   $ ./examples/trace_tool collect --circuit=bnre --procs=16 --out=run.trc
 //   $ ./examples/trace_tool analyze run.trc --line-size=16 --protocol=dragon
 #include <cstdio>
+#include <stdexcept>
 #include <string>
 
 #include "assign/assignment.hpp"
@@ -41,6 +42,11 @@ int main(int argc, char** argv) {
     return 1;
   }
 
+  // MemRef::proc is 16-bit, so a trace names at most 32767 processors.
+  if (cli.get_int("procs") < 1 || cli.get_int("procs") > 32767) {
+    std::fprintf(stderr, "--procs must be in [1, 32767]\n");
+    return 1;
+  }
   const auto procs = static_cast<std::int32_t>(cli.get_int("procs"));
   const std::string mode = cli.positional()[0];
 
@@ -68,10 +74,23 @@ int main(int argc, char** argv) {
       std::fprintf(stderr, "analyze needs a .trc path\n");
       return 1;
     }
-    locus::RefTrace trace = locus::read_trace_file(cli.positional()[1]);
+    locus::RefTrace trace;
+    try {
+      trace = locus::read_trace_file(cli.positional()[1]);
+      locus::check_trace_procs(trace, procs);
+    } catch (const std::runtime_error& e) {
+      std::fprintf(stderr, "%s: %s\n", cli.positional()[1].c_str(), e.what());
+      return 1;
+    }
     locus::CoherenceParams params;
     params.line_size = static_cast<std::int32_t>(cli.get_int("line-size"));
     params.protocol = pick_protocol(cli.get("protocol"));
+    if (params.line_size < params.word_size ||
+        (params.line_size & (params.line_size - 1)) != 0) {
+      std::fprintf(stderr, "--line-size must be a power of two >= %d\n",
+                   params.word_size);
+      return 1;
+    }
     locus::CoherenceSim sim(procs, params);
     sim.replay(trace);
     const locus::CoherenceTraffic& t = sim.traffic();

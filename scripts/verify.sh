@@ -1,8 +1,9 @@
 #!/usr/bin/env bash
 # Tier-1 verification: configure, build, and run the full test suite, then
 # run the checking-subsystem tests (`ctest -L check`), the reliable
-# transport tests (`ctest -L transport`), and the interconnect tests
-# (`ctest -L network`) explicitly so a label regression (tests silently
+# transport tests (`ctest -L transport`), the interconnect tests
+# (`ctest -L network`), and the shared-memory capture + coherence tests
+# (`ctest -L shm`) explicitly so a label regression (tests silently
 # dropping out of a label) is caught.
 #
 #   scripts/verify.sh             # tier-1
@@ -37,7 +38,7 @@ elif [[ "${1:-}" == "--tsan" ]]; then
   # only the suites that actually spawn threads, at a real pool width.
   cmake --preset tsan
   cmake --build --preset tsan -j --target locus_tests locus_pool_tests \
-    locus_check_tests locus_transport_tests
+    locus_check_tests locus_transport_tests locus_shm_tests
   ctest --preset tsan-threads -j "$(nproc)"
   exit 0
 elif [[ "${1:-}" == "--bench" ]]; then
@@ -54,10 +55,12 @@ cmake --build "$BUILD_DIR" -j
 cd "$BUILD_DIR"
 ctest --output-on-failure -j "$(nproc)"
 
-# The check, transport, and network labels must exist and pass on their own.
+# The check, transport, network, and shm labels must exist and pass on
+# their own.
 ctest -L check --output-on-failure -j "$(nproc)"
 ctest -L transport --output-on-failure -j "$(nproc)"
 ctest -L network --output-on-failure -j "$(nproc)"
+ctest -L shm --output-on-failure -j "$(nproc)"
 
 # Optional benchmark regression gate: re-run the microbenchmarks in Release
 # and diff against the checked-in baselines.

@@ -1,14 +1,23 @@
-// Trace-driven coherence simulation with infinite caches.
+// Trace-driven coherence simulation with infinite or finite-LRU caches.
 //
-// Per cache line we track which processors hold a clean copy (a bitmask)
-// and which single processor, if any, holds it dirty. Caches are infinite
-// (paper footnote 3: no capacity misses), so state only changes through
-// the protocol events themselves.
+// Per cache line we track which processors hold a valid copy (a sharer
+// set), which processors ever held it, and which single processor, if any,
+// holds it dirty. Infinite caches (paper footnote 3: no capacity misses)
+// change state only through the protocol events themselves; finite caches
+// add per-processor LRU eviction.
+//
+// Storage (DESIGN.md §13): the line table is a two-level directory over the
+// whole 32-bit address space — a fixed top level of page pointers and
+// lazily allocated pages of dense line entries — so every address,
+// including kLoopCounterAddr, is one index away and memory grows with the
+// pages touched. Each entry holds its sharer and ever-held sets inline as
+// ceil(procs / 64) 64-bit words, so any processor count is legal. Finite
+// caches are per-processor intrusive LRU lists over a pool of
+// capacity_lines slots with a small open-addressed line -> slot index.
 #pragma once
 
 #include <cstdint>
-#include <list>
-#include <unordered_map>
+#include <memory>
 #include <vector>
 
 #include "coherence/protocol.hpp"
@@ -31,7 +40,7 @@ class CoherenceSim {
   const CoherenceParams& params() const { return params_; }
 
   /// Number of distinct lines ever touched (cold footprint).
-  std::size_t lines_touched() const { return lines_.size(); }
+  std::size_t lines_touched() const { return lines_touched_; }
 
   /// Mirrors the accumulated traffic breakdown into `o`'s registry under
   /// the coh.* names (obs::CoherenceObsNames), once, on `shard`. The replay
@@ -40,29 +49,85 @@ class CoherenceSim {
   void publish_obs(obs::Obs& o, std::size_t shard = 0) const;
 
  private:
-  struct LineState {
-    std::uint32_t present = 0;     ///< bitmask of procs with a valid copy
-    std::uint32_t ever_held = 0;   ///< procs that held the line at some point
-    std::int32_t dirty_owner = -1; ///< proc holding it dirty, or -1
-    bool exclusive_clean = false;  ///< MESI E state (single clean holder)
+  /// One line entry, viewed in place: a header word packing the dirty
+  /// owner (plus one; 0 = none) in its low 32 bits and the MESI E and
+  /// touched flags above, then the words_-word sharer set, then the
+  /// words_-word ever-held set. One pointer, so it passes in a register.
+  struct Line {
+    std::uint64_t* entry;
+    std::uint32_t words;
+    std::uint64_t& header() const { return entry[0]; }
+    std::uint64_t* present() const { return entry + 1; }
+    std::uint64_t* ever() const { return entry + 1 + words; }
+  };
+  /// A processor's position in a sharer set.
+  struct ProcBit {
+    std::int32_t proc;
+    std::uint32_t word;
+    std::uint64_t mask;
   };
 
-  void access_wbi(LineState& line, std::uint32_t bit, std::int32_t proc, MemOp op);
-  void access_write_through(LineState& line, std::uint32_t bit, std::int32_t proc,
-                            MemOp op);
-  void access_mesi(LineState& line, std::uint32_t bit, std::int32_t proc, MemOp op);
-  void access_dragon(LineState& line, std::uint32_t bit, std::int32_t proc, MemOp op);
+  /// One processor's finite cache: an open-addressed (linear probing)
+  /// table keyed by line whose occupied cells are also the nodes of a
+  /// doubly linked LRU list (front = MRU), so a lookup lands on the list
+  /// node itself. The table holds at most capacity_lines lines at load
+  /// <= 1/2 and grows by doubling as lines arrive.
+  static constexpr std::uint32_t kNil = 0xFFFF'FFFFu;
+  static constexpr std::uint32_t kFree = 0xFFFF'FFFEu;  ///< prev of an empty cell
+  struct LruNode {
+    std::uint32_t line;
+    std::uint32_t prev;
+    std::uint32_t next;
+  };
+  struct LruCache {
+    std::vector<LruNode> table;
+    std::uint32_t shift = 0;  ///< 64 - log2(table.size())
+    std::uint32_t size = 0;   ///< resident lines
+    std::uint32_t head = kNil;
+    std::uint32_t tail = kNil;
+  };
 
-  /// LRU bookkeeping for finite caches (capacity_lines > 0).
-  void lru_touch(std::int32_t proc, std::uint32_t line_addr);
+  void step(std::int32_t proc, std::uint32_t addr, MemOp op);
+  Line line_at(std::uint32_t line_addr);
+  std::uint64_t* alloc_page(std::uint32_t page);
+
+  /// True iff a processor other than `pb` is in `set`.
+  bool others_in(const std::uint64_t* set, ProcBit pb) const;
+
+  void access_wbi(Line line, ProcBit pb, MemOp op);
+  void access_write_through(Line line, ProcBit pb, MemOp op);
+  void access_mesi(Line line, ProcBit pb, MemOp op);
+  void access_dragon(Line line, ProcBit pb, MemOp op);
+
+  /// Makes `line_addr` proc's MRU line; on overflow evicts the LRU line
+  /// (dropping proc's copy, writing it back if proc held it dirty).
+  void lru_touch(ProcBit pb, std::uint32_t line_addr);
+  static std::uint32_t lru_find(const LruCache& cache, std::uint32_t line_addr);
+  static void lru_link_front(LruCache& cache, std::uint32_t pos);
+  static void lru_unlink(LruCache& cache, std::uint32_t pos);
+  static void lru_erase(LruCache& cache, std::uint32_t pos);
+  static void lru_grow(LruCache& cache);
 
   std::int32_t procs_;
   CoherenceParams params_;
   CoherenceTraffic traffic_;
-  std::unordered_map<std::uint32_t, LineState> lines_;
-  std::vector<std::list<std::uint32_t>> lru_order_;  ///< per proc, front = MRU
-  std::vector<std::unordered_map<std::uint32_t, std::list<std::uint32_t>::iterator>>
-      lru_map_;
+  std::size_t lines_touched_ = 0;
+
+  std::uint32_t words_;        ///< 64-bit words per processor set
+  std::uint32_t stride_;       ///< words per line entry: 1 + 2 * words_
+  std::uint32_t line_shift_;   ///< log2(line_size)
+  std::uint32_t page_shift_;   ///< log2(bytes of address space per page)
+  std::uint32_t page_lines_;   ///< line entries per page
+  /// The directory and the pages come zero-filled from std::calloc: large
+  /// blocks map fresh zero pages, so only the parts a trace touches are
+  /// ever faulted in.
+  struct FreeDeleter {
+    void operator()(void* p) const;
+  };
+  std::unique_ptr<std::uint64_t*[], FreeDeleter> dir_;  ///< 2^(32 - page_shift_) pages
+  std::vector<std::unique_ptr<std::uint64_t[], FreeDeleter>> pages_;
+
+  std::vector<LruCache> lru_;  ///< per processor; empty for infinite caches
 };
 
 /// Convenience: replay `trace` for each line size and return the traffic

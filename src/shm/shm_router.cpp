@@ -1,8 +1,10 @@
 #include "shm/shm_router.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <cstdint>
 #include <limits>
+#include <memory>
 #include <optional>
 #include <queue>
 
@@ -14,9 +16,46 @@ namespace locus {
 
 namespace {
 
+/// One noted shared reference, before it is stamped.
+struct Pending {
+  std::uint32_t addr;
+  MemOp op;
+};
+
+/// Append-only Pending storage in fixed-size blocks: growing never copies
+/// or re-touches what is already stored (a 9.57 M-ref bnrE capture would
+/// otherwise move its refs through every vector doubling).
+class PendingArena {
+ public:
+  void push(Pending ref) {
+    if (size_ == blocks_.size() << kShift) {
+      blocks_.push_back(std::unique_ptr<Pending[]>(new Pending[kBlock]));
+    }
+    blocks_[size_ >> kShift][size_ & kMask] = ref;
+    ++size_;
+  }
+  /// Drops every ref from index `n` on; the blocks stay for reuse.
+  void truncate(std::size_t n) { size_ = n; }
+  std::size_t size() const { return size_; }
+  const Pending& operator[](std::size_t i) const { return blocks_[i >> kShift][i & kMask]; }
+
+ private:
+  static constexpr std::size_t kShift = 16;
+  static constexpr std::size_t kBlock = std::size_t{1} << kShift;
+  static constexpr std::size_t kMask = kBlock - 1;
+  std::vector<std::unique_ptr<Pending[]>> blocks_;
+  std::size_t size_ = 0;
+};
+
 /// CostView over the single shared array that records shared references.
 /// Reads are deduplicated per wire (see trace.hpp); every add() logs the
 /// read-modify-write pair.
+///
+/// Capture is two-phase. While routing, each wire's (addr, op) list is
+/// appended to one arena and the wire's (proc, t0, duration, count) is
+/// recorded. merge_trace() then stamps and merges the wires into the
+/// time-ordered trace — element for element the stable sort by time of the
+/// refs in emission order, without sorting (DESIGN.md §5.3).
 class TracingView final : public CostView {
  public:
   TracingView(GridBacking& shared, bool capture, bool dedup_reads)
@@ -25,22 +64,91 @@ class TracingView final : public CostView {
 
   void begin_wire() {
     ++epoch_;
-    pending_.clear();
+    arena_.truncate(flushed_);  // refs noted since the last flush are dropped
   }
 
-  /// Stamps the pending refs across [t0, t0 + duration] for processor
-  /// `proc` and appends them to `trace`.
-  void flush_wire(RefTrace& trace, std::int16_t proc, SimTime t0, SimTime duration) {
-    if (!capture_ || pending_.empty()) return;
-    const auto n = static_cast<SimTime>(pending_.size());
-    for (std::size_t i = 0; i < pending_.size(); ++i) {
-      MemRef ref;
-      ref.time = t0 + duration * static_cast<SimTime>(i + 1) / (n + 1);
-      ref.addr = pending_[i].addr;
-      ref.proc = proc;
-      ref.op = pending_[i].op;
-      trace.append(ref);
+  /// Closes the refs noted since begin_wire() as one wire of processor
+  /// `proc`, to be stamped across [t0, t0 + duration].
+  void flush_wire(std::int16_t proc, SimTime t0, SimTime duration) {
+    if (!capture_ || arena_.size() == flushed_) return;
+    // The merge emits refs at or before a wire's t0 as soon as that wire
+    // opens, which is exact only because the executor opens every wire at
+    // the minimum processor clock.
+    LOCUS_ASSERT(wires_.empty() || t0 >= wires_.back().t0);
+    LOCUS_ASSERT(duration >= 0);
+    wires_.push_back({t0, duration, flushed_, arena_.size() - flushed_, proc});
+    flushed_ = arena_.size();
+  }
+
+  /// Builds the time-ordered trace: ref i of an n-ref wire is stamped
+  /// t0 + duration * (i + 1) / (n + 1), and refs are ordered by (time,
+  /// emission sequence). Walking the wires in emission order, every ref of
+  /// the open wires with time <= t0 of the next wire is emitted before that
+  /// wire opens; each step takes the smallest (time, seq) among the open
+  /// wires, at most one per processor.
+  RefTrace merge_trace() const {
+    RefTrace trace;
+    if (!capture_) return trace;
+    trace.reserve(flushed_);
+    // An open wire: its next ref and stamp, stepped by the quotient and
+    // remainder of duration / (n + 1) so every stamp equals the closed
+    // form bit for bit. The open wires sit in a ring in (time, wire)
+    // order whose front is the next ref to emit; wires of similar pace
+    // take turns, so a stepped wire usually rejoins at the back after one
+    // comparison.
+    struct Cursor {
+      SimTime time;  ///< stamp of the next ref
+      std::size_t wire;
+      SimTime step;  ///< duration / (n + 1)
+      SimTime rem;   ///< duration % (n + 1)
+      SimTime den;   ///< n + 1
+      SimTime acc;   ///< rem * (i + 1) % den for the next ref i
+      std::size_t next;
+      std::size_t end;
+      std::int16_t proc;
+    };
+    std::int16_t max_proc = 0;
+    for (const WireRefs& w : wires_) max_proc = std::max(max_proc, w.proc);
+    const std::size_t mask = std::bit_ceil(static_cast<std::size_t>(max_proc) + 2) - 1;
+    std::vector<Cursor> ring(mask + 1);
+    std::size_t front = 0;
+    std::size_t back = 0;  // one past the last open wire; both unmasked
+    auto push = [&](const Cursor& c) {
+      std::size_t pos = back++;
+      for (; pos != front; --pos) {
+        const Cursor& prev = ring[(pos - 1) & mask];
+        if (prev.time < c.time || (prev.time == c.time && prev.wire < c.wire)) break;
+        ring[pos & mask] = prev;
+      }
+      ring[pos & mask] = c;
+    };
+    auto drain_through = [&](SimTime limit) {
+      while (front != back && ring[front & mask].time <= limit) {
+        Cursor c = ring[front++ & mask];
+        const Pending& ref = arena_[c.next];
+        trace.append({c.time, ref.addr, c.proc, ref.op});
+        if (++c.next == c.end) continue;
+        c.acc += c.rem;
+        const bool carry = c.acc >= c.den;
+        c.acc -= carry ? c.den : 0;
+        c.time += c.step + (carry ? 1 : 0);
+        push(c);
+      }
+    };
+    for (std::size_t wire = 0; wire < wires_.size(); ++wire) {
+      const WireRefs& w = wires_[wire];
+      drain_through(w.t0);
+      for (std::size_t k = front; k != back; ++k) {
+        LOCUS_ASSERT_MSG(ring[k & mask].proc != w.proc,
+                         "a processor's previous wire is still open");
+      }
+      const auto den = static_cast<SimTime>(w.count) + 1;
+      const SimTime step = w.duration / den;
+      const SimTime rem = w.duration % den;
+      push({w.t0 + step, wire, step, rem, den, rem, w.first, w.first + w.count, w.proc});
     }
+    drain_through(std::numeric_limits<SimTime>::max());
+    return trace;
   }
 
   std::int32_t read(GridPoint p) override {
@@ -73,7 +181,7 @@ class TracingView final : public CostView {
   void add(GridPoint p, std::int32_t d) override {
     note_read(p);  // increment = load + store
     if (capture_) {
-      pending_.push_back({cost_cell_addr(p.channel, p.x, shared_.channels()), MemOp::kWrite});
+      arena_.push({cost_cell_addr(p.channel, p.x, shared_.channels()), MemOp::kWrite});
     }
     if (defer_) {
       LOCUS_ASSERT_MSG(d == 1, "only route commits are deferred");
@@ -92,7 +200,7 @@ class TracingView final : public CostView {
 
   /// Logs a non-cost-array shared access (the distributed loop counter).
   void note_other(std::uint32_t addr, MemOp op) {
-    if (capture_) pending_.push_back({addr, op});
+    if (capture_) arena_.push({addr, op});
   }
 
  private:
@@ -103,12 +211,16 @@ class TracingView final : public CostView {
       if (read_stamp_[idx] == epoch_) return;
       read_stamp_[idx] = epoch_;
     }
-    pending_.push_back({cost_cell_addr(p.channel, p.x, shared_.channels()), MemOp::kRead});
+    arena_.push({cost_cell_addr(p.channel, p.x, shared_.channels()), MemOp::kRead});
   }
 
-  struct Pending {
-    std::uint32_t addr;
-    MemOp op;
+  /// One flushed wire: its refs are arena_[first, first + count).
+  struct WireRefs {
+    SimTime t0;
+    SimTime duration;
+    std::size_t first;
+    std::size_t count;
+    std::int16_t proc;
   };
 
   GridBacking& shared_;
@@ -117,7 +229,9 @@ class TracingView final : public CostView {
   bool defer_ = false;
   std::vector<std::uint32_t> read_stamp_;
   std::uint32_t epoch_ = 0;
-  std::vector<Pending> pending_;
+  PendingArena arena_;
+  std::size_t flushed_ = 0;  ///< arena_ prefix owned by flushed wires
+  std::vector<WireRefs> wires_;
   std::vector<GridPoint> deferred_cells_;
 };
 
@@ -247,8 +361,7 @@ ShmRunResult run_shared_memory(const Circuit& circuit, const ShmConfig& config) 
         fetch_cost = tm.shm_read_ns + tm.shm_write_ns;
         if (loop_counter >= circuit.num_wires()) {
           ps.done = true;
-          view.flush_wire(result.trace, static_cast<std::int16_t>(next), ps.clock,
-                          fetch_cost);
+          view.flush_wire(static_cast<std::int16_t>(next), ps.clock, fetch_cost);
           ps.clock += fetch_cost;
           result.proc_finish_ns[static_cast<std::size_t>(next)] = ps.clock;
           continue;
@@ -285,8 +398,7 @@ ShmRunResult run_shared_memory(const Circuit& circuit, const ShmConfig& config) 
           fetch_cost + rip_cost +
           tm.routing_time_ns(result.work.probes - before.probes,
                              result.work.cells_committed - before.cells_committed, 1);
-      view.flush_wire(result.trace, static_cast<std::int16_t>(next), ps.clock,
-                      duration);
+      view.flush_wire(static_cast<std::int16_t>(next), ps.clock, duration);
       LOCUS_OBS_HOOK(if (shm_obs) {
         auto& reg = shm_obs.obs->counters();
         reg.add(shm_obs.shard, shm_obs.wires_routed);
@@ -325,7 +437,7 @@ ShmRunResult run_shared_memory(const Circuit& circuit, const ShmConfig& config) 
   result.circuit_height = circuit_height(result.cost);
   LOCUS_ASSERT(result.cost ==
                rebuild_cost(circuit.channels(), circuit.grids(), result.routes));
-  result.trace.sort_by_time();
+  result.trace = view.merge_trace();
   LOCUS_OBS_HOOK(if (shm_obs) {
     shm_obs.obs->counters().add(shm_obs.shard, shm_obs.trace_refs,
                                 result.trace.size());

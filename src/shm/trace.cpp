@@ -9,12 +9,4 @@ void RefTrace::sort_by_time() {
                    [](const MemRef& a, const MemRef& b) { return a.time < b.time; });
 }
 
-std::uint64_t RefTrace::count(MemOp op) const {
-  std::uint64_t n = 0;
-  for (const MemRef& r : refs_) {
-    if (r.op == op) ++n;
-  }
-  return n;
-}
-
 }  // namespace locus

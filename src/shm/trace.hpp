@@ -48,7 +48,12 @@ inline constexpr std::uint32_t kLoopCounterAddr = 0xF000'0000u;
 
 class RefTrace {
  public:
-  void append(MemRef ref) { refs_.push_back(ref); }
+  void append(MemRef ref) {
+    refs_.push_back(ref);
+    writes_ += ref.op == MemOp::kWrite ? 1 : 0;
+  }
+
+  void reserve(std::size_t n) { refs_.reserve(n); }
 
   /// Stable-sorts by time so the coherence replay sees a global order;
   /// equal-time refs keep emission order (deterministic).
@@ -57,10 +62,14 @@ class RefTrace {
   const std::vector<MemRef>& refs() const { return refs_; }
   std::size_t size() const { return refs_.size(); }
 
-  std::uint64_t count(MemOp op) const;
+  /// O(1): per-op counts are kept as refs are appended.
+  std::uint64_t count(MemOp op) const {
+    return op == MemOp::kWrite ? writes_ : refs_.size() - writes_;
+  }
 
  private:
   std::vector<MemRef> refs_;
+  std::uint64_t writes_ = 0;
 };
 
 }  // namespace locus

@@ -81,8 +81,17 @@ RefTrace read_trace(std::istream& in) {
     in.read(reinterpret_cast<char*>(tail), 4);
     if (!in) throw std::runtime_error("truncated .trc file");
     ref.proc = static_cast<std::int16_t>(tail[0] | (tail[1] << 8));
+    if (ref.proc < 0) {
+      throw std::runtime_error("corrupt .trc record " + std::to_string(i) +
+                               " (negative proc " + std::to_string(ref.proc) + ")");
+    }
     if (tail[2] > 1) throw std::runtime_error("corrupt .trc record (bad op)");
     ref.op = static_cast<MemOp>(tail[2]);
+    // A trace is a global time order (the replay's contract).
+    if (i > 0 && ref.time < trace.refs().back().time) {
+      throw std::runtime_error("corrupt .trc record " + std::to_string(i) +
+                               " (time goes backwards)");
+    }
     trace.append(ref);
   }
   return trace;
@@ -92,6 +101,17 @@ RefTrace read_trace_file(const std::string& path) {
   std::ifstream in(path, std::ios::binary);
   if (!in) throw std::runtime_error("cannot open trace file: " + path);
   return read_trace(in);
+}
+
+void check_trace_procs(const RefTrace& trace, std::int32_t procs) {
+  const std::vector<MemRef>& refs = trace.refs();
+  for (std::size_t i = 0; i < refs.size(); ++i) {
+    if (refs[i].proc >= procs) {
+      throw std::runtime_error("reference " + std::to_string(i) + " is by proc " +
+                               std::to_string(refs[i].proc) + ", but the replay has " +
+                               std::to_string(procs) + " processors");
+    }
+  }
 }
 
 }  // namespace locus

@@ -12,6 +12,7 @@
 //   records count x { time i64, addr u32, proc i16, op u8, pad u8 }
 #pragma once
 
+#include <cstdint>
 #include <iosfwd>
 #include <string>
 
@@ -23,8 +24,15 @@ namespace locus {
 void write_trace(std::ostream& out, const RefTrace& trace);
 void write_trace_file(const std::string& path, const RefTrace& trace);
 
-/// Reads a .trc stream. Throws std::runtime_error on malformed input.
+/// Reads a .trc stream. Throws std::runtime_error on malformed input: bad
+/// magic or version, a truncated record, an unknown op, a negative proc,
+/// or a record whose time is earlier than the one before it.
 RefTrace read_trace(std::istream& in);
 RefTrace read_trace_file(const std::string& path);
+
+/// Throws std::runtime_error naming the first reference whose processor is
+/// not below `procs`: a replay through CoherenceSim(procs, ...) accepts
+/// only processors 0..procs-1, and a .trc file does not record its count.
+void check_trace_procs(const RefTrace& trace, std::int32_t procs);
 
 }  // namespace locus

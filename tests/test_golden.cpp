@@ -68,10 +68,13 @@ TEST(Golden, ShmRunReproducesExactly) {
   ShmRunResult a = run_shared_memory(c, config);
   ShmRunResult b = run_shared_memory(c, config);
   EXPECT_EQ(a.circuit_height, b.circuit_height);
-  EXPECT_EQ(a.trace.size(), b.trace.size());
-  for (std::size_t i = 0; i < a.trace.size(); i += 997) {
-    EXPECT_EQ(a.trace.refs()[i].addr, b.trace.refs()[i].addr);
-    EXPECT_EQ(a.trace.refs()[i].time, b.trace.refs()[i].time);
+  ASSERT_EQ(a.trace.size(), b.trace.size());
+  for (std::size_t i = 0; i < a.trace.size(); ++i) {
+    const MemRef& ra = a.trace.refs()[i];
+    const MemRef& rb = b.trace.refs()[i];
+    ASSERT_TRUE(ra.time == rb.time && ra.addr == rb.addr && ra.proc == rb.proc &&
+                ra.op == rb.op)
+        << "first difference at ref " << i;
   }
 }
 
