@@ -79,6 +79,13 @@ struct BadInput {
   int line;
 };
 
+// Without a printer gtest shows the raw bytes (pointer values included) after
+// `# GetParam() =`, and the discovered ctest names change with every load
+// address.
+void PrintTo(const BadInput& bad, std::ostream* os) {
+  *os << "error at line " << bad.line;
+}
+
 class CircuitIoErrors : public ::testing::TestWithParam<BadInput> {};
 
 TEST_P(CircuitIoErrors, RejectsWithLineNumber) {
