@@ -12,6 +12,7 @@
 
 #include "geom/point.hpp"
 #include "geom/rect.hpp"
+#include "support/assert.hpp"
 
 namespace locus {
 
@@ -42,8 +43,13 @@ class Partition {
   MeshShape mesh() const { return mesh_; }
   std::int32_t num_regions() const { return mesh_.procs(); }
 
-  /// Owning processor of a cell.
-  ProcId owner(GridPoint p) const;
+  /// Owning processor of a cell: two table lookups.
+  ProcId owner(GridPoint p) const {
+    LOCUS_ASSERT(p.channel >= 0 && p.channel < channels_);
+    LOCUS_ASSERT(p.x >= 0 && p.x < grids_);
+    return proc_at(row_band_[static_cast<std::size_t>(p.channel)],
+                   col_band_[static_cast<std::size_t>(p.x)]);
+  }
 
   /// Owned region rectangle of a processor.
   const Rect& region(ProcId proc) const;
@@ -68,11 +74,9 @@ class Partition {
   std::int32_t channels_;
   std::int32_t grids_;
   MeshShape mesh_;
-  std::vector<std::int32_t> row_start_;  // size rows+1; band r = [row_start_[r], row_start_[r+1])
-  std::vector<std::int32_t> col_start_;  // size cols+1
   std::vector<Rect> regions_;            // indexed by ProcId
-
-  std::int32_t band_of(const std::vector<std::int32_t>& starts, std::int32_t v) const;
+  std::vector<std::int32_t> row_band_;   // size channels: band of each channel
+  std::vector<std::int32_t> col_band_;   // size grids: band of each column
 };
 
 }  // namespace locus

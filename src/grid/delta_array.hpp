@@ -22,6 +22,7 @@
 
 #include <cstdint>
 #include <optional>
+#include <span>
 #include <vector>
 
 #include "geom/partition.hpp"
@@ -42,6 +43,18 @@ class DeltaArray {
   /// Records a change of `delta` at cell `p`.
   void add(GridPoint p, std::int32_t delta);
 
+  /// Records `delta` at every cell of row `channel`, columns [x_lo, x_hi]:
+  /// the span form of add() over ascending x. Ownership is resolved once
+  /// per column band, and cells, nonzero counts and dirty boxes end exactly
+  /// as the per-cell loop leaves them — a count that drops to zero mid-run
+  /// empties the box before the rest of the run expands it again.
+  void add_row(std::int32_t channel, std::int32_t x_lo, std::int32_t x_hi,
+               std::int32_t delta);
+
+  /// Records `values` (row-major over `box`) as add() per cell would,
+  /// skipping zero values (a tiled array allocates no tile for them).
+  void add_rect(const Rect& box, std::span<const std::int32_t> values);
+
   std::int32_t at(GridPoint p) const;
 
   /// True if the region owned by `proc` has any un-propagated change.
@@ -55,7 +68,8 @@ class DeltaArray {
 
   /// Simulated work performed by the last extract_region() /
   /// extract_region_blocks() scan, in cells visited (drives the
-  /// packet-assembly time model).
+  /// packet-assembly time model): the area of the conservative box the
+  /// scan walked, 0 when the region was clean.
   std::int64_t last_scan_cells() const { return last_scan_cells_; }
 
   struct Extract {
@@ -88,6 +102,24 @@ class DeltaArray {
   std::size_t cell_index(GridPoint p) const;
   std::int32_t cell_get(GridPoint p) const;
   std::int32_t& cell_ref(GridPoint p);
+  /// Contiguous storage from (channel, x) up to x_hi or the end of its tile
+  /// row, whichever comes first; `*run` gets the cell count. The const form
+  /// returns nullptr for an absent tile (all zeros); the mutable form
+  /// allocates it.
+  const std::int32_t* row_span(std::int32_t channel, std::int32_t x, std::int32_t x_hi,
+                               std::int32_t* run) const;
+  std::int32_t* mutable_row_span(std::int32_t channel, std::int32_t x, std::int32_t x_hi,
+                                 std::int32_t* run);
+  /// add_row()/add_rect() core: value_at(x) is the delta for column x.
+  template <typename ValueAt>
+  void add_span(std::int32_t channel, std::int32_t x_lo, std::int32_t x_hi,
+                ValueAt value_at);
+  /// Tight column range [*lo, *hi] of the nonzero cells of row `channel`
+  /// within [x_lo, x_hi]; false when there are none.
+  bool nonzero_extent(std::int32_t channel, std::int32_t x_lo, std::int32_t x_hi,
+                      std::int32_t* lo, std::int32_t* hi) const;
+  /// Copies the cells of `box` (row-major) into `out` and zeroes them.
+  void take_rect(const Rect& box, std::vector<std::int32_t>& out);
   void clear_region_bookkeeping(ProcId region);
 
   const Partition* partition_;

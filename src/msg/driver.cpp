@@ -174,6 +174,21 @@ MpRunResult run_message_passing(const Circuit& circuit, const Partition& partiti
   for (std::int32_t v : shared.truth.cells()) truth_abs_total += std::abs(v);
   std::int64_t view_resident_cells = 0;
   std::int64_t view_resident_bytes = 0;
+  // Sum of |view - truth| over `own`, whose view rows start at `view_rows`
+  // (row-major, `stride` cells apart).
+  auto own_region_error = [&](const Rect& own, const std::int32_t* view_rows,
+                              std::int64_t stride) {
+    std::int64_t err = 0;
+    for (std::int32_t c = own.channel_lo; c <= own.channel_hi; ++c, view_rows += stride) {
+      const std::int32_t* truth_row =
+          shared.truth.cells().data() + shared.truth.index(GridPoint{c, own.x_lo});
+      for (std::int64_t i = 0; i < own.width(); ++i) {
+        err += std::abs(view_rows[i] - truth_row[i]);
+      }
+    }
+    return err;
+  };
+  std::vector<std::int32_t> own_values;
   for (ProcId p = 0; p < partition.num_regions(); ++p) {
     const auto* node = dynamic_cast<const RouterNode*>(machine.node(p));
     LOCUS_ASSERT(node != nullptr);
@@ -199,28 +214,25 @@ MpRunResult run_message_passing(const Circuit& circuit, const Partition& partiti
             }
           });
       total_error += resident_err + (truth_abs_total - resident_truth_abs);
-      // The own region is pinned resident, so per-cell reads stay cheap.
+      // The own region is pinned resident: one rectangle read.
       const Rect own = partition.region(p);
-      for (std::int32_t c = own.channel_lo; c <= own.channel_hi; ++c) {
-        for (std::int32_t x = own.x_lo; x <= own.x_hi; ++x) {
-          const GridPoint cell{c, x};
-          own_error += std::abs(tiled->at(cell) - shared.truth.at(cell));
-          ++own_cells;
-        }
-      }
+      tiled->read_rect(own, own_values);
+      own_error += own_region_error(own, own_values.data(), own.width());
+      own_cells += own.area();
       continue;
     }
-    for (std::int32_t c = 0; c < circuit.channels(); ++c) {
-      for (std::int32_t x = 0; x < circuit.grids(); ++x) {
-        const GridPoint cell{c, x};
-        const std::int64_t err = std::abs(view.at(cell) - shared.truth.at(cell));
-        total_error += err;
-        if (partition.owner(cell) == p) {
-          own_error += err;
-          ++own_cells;
-        }
-      }
+    // Dense: the whole array against the truth, then the own rectangle.
+    const auto& dense = dynamic_cast<const CostArray&>(view);
+    const std::span<const std::int32_t> view_cells = dense.cells();
+    const std::span<const std::int32_t> truth_cells = shared.truth.cells();
+    for (std::size_t i = 0; i < view_cells.size(); ++i) {
+      total_error += std::abs(view_cells[i] - truth_cells[i]);
     }
+    const Rect own = partition.region(p);
+    const std::int32_t* own_rows =
+        view_cells.data() + dense.index(GridPoint{own.channel_lo, own.x_lo});
+    own_error += own_region_error(own, own_rows, circuit.grids());
+    own_cells += own.area();
   }
   result.view_resident_cells = view_resident_cells;
   result.view_resident_bytes = view_resident_bytes;

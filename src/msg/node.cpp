@@ -419,11 +419,13 @@ SimTime RouterNode::route_wire_id(NodeApi& api, WireId wire_id,
   // Price the chosen path against the global oracle *before* committing it
   // there (measurement only — see MpShared::truth).
   if (iteration + 1 == config_.iterations) {
-    std::int64_t true_cost = 0;
-    for (const GridPoint& p : slot.cells) true_cost += shared_.truth.read(p);
-    shared_.occupancy[static_cast<std::size_t>(self_)] += true_cost;
+    shared_.occupancy[static_cast<std::size_t>(self_)] +=
+        price_cells(slot.cells, shared_.truth);
   }
-  for (const GridPoint& p : slot.cells) shared_.truth.add(p, +1);
+  for_each_cell_run(slot.cells, [&](std::int32_t channel, std::int32_t x_lo,
+                                    std::int32_t x_hi) {
+    shared_.truth.add_row(channel, x_lo, x_hi, +1);
+  });
   if (config_.observer != nullptr) {
     config_.observer->on_wire_routed(self_, wire_id, iteration);
   }
@@ -957,20 +959,19 @@ void RouterNode::apply_delta_block(const Rect& bbox,
   // These changes are now part of our own region's state and must reach
   // the neighbors in the next SendLocData: mark the own-region delta
   // bounding box (values there are never sent; absolute data is).
-  std::size_t i = 0;
-  for (std::int32_t c = bbox.channel_lo; c <= bbox.channel_hi; ++c) {
-    for (std::int32_t x = bbox.x_lo; x <= bbox.x_hi; ++x, ++i) {
-      if (values[i] != 0) delta_.add(GridPoint{c, x}, values[i]);
-    }
-  }
+  delta_.add_rect(bbox, values);
 }
 
 void RouterNode::note_route_segments(const WireRoute& route) {
+  // The connections' boxes cover exactly the committed cells (their union),
+  // so the route's box costs O(segments) rather than a walk over its cells.
   std::int64_t segments = 0;
+  Rect box;
   for (const Route& connection : route.connections) {
     segments += static_cast<std::int64_t>(connection.segments().size());
+    box.expand(connection.bbox());
   }
-  for (ProcId region : partition_.regions_overlapping(route.bbox())) {
+  for (ProcId region : partition_.regions_overlapping(box)) {
     segments_changed_[static_cast<std::size_t>(region)] += segments;
   }
 }

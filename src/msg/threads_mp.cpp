@@ -101,12 +101,7 @@ ThreadsMpResult run_threads_message_passing(const Circuit& circuit,
         } else {
           LOCUS_ASSERT(msg.region == self);
           view.add_rect(msg.bbox, msg.values);
-          std::size_t i = 0;
-          for (std::int32_t c = msg.bbox.channel_lo; c <= msg.bbox.channel_hi; ++c) {
-            for (std::int32_t x = msg.bbox.x_lo; x <= msg.bbox.x_hi; ++x, ++i) {
-              if (msg.values[i] != 0) delta.add(GridPoint{c, x}, msg.values[i]);
-            }
-          }
+          delta.add_rect(msg.bbox, msg.values);
         }
       }
     };

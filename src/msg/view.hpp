@@ -14,7 +14,8 @@
 
 namespace locus {
 
-/// CostView that mirrors every write into the delta array. Reads go
+/// CostView that mirrors every write into the delta array — row spans
+/// included, through the backing's and the delta array's span paths. Reads go
 /// straight to the (possibly drifted) private view, so both bulk span
 /// reads forward to the backing's fast path — clamping included. The view
 /// is any GridBacking: dense CostArray (paper scale) or TiledCostArray
@@ -26,6 +27,11 @@ class ViewWithDelta final : public CostView {
   void add(GridPoint p, std::int32_t d) override {
     view_.add(p, d);
     delta_.add(p, d);
+  }
+  void add_row(std::int32_t channel, std::int32_t x_lo, std::int32_t x_hi,
+               std::int32_t d) override {
+    view_.add_row(channel, x_lo, x_hi, d);
+    delta_.add_row(channel, x_lo, x_hi, d);
   }
   void read_row(std::int32_t channel, std::int32_t x_lo, std::int32_t x_hi,
                 std::span<std::int32_t> span_out) override {

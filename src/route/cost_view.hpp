@@ -16,7 +16,9 @@
 // fallback and report supports_bulk_read() == false so the router stays on
 // the exact per-cell pricing path. CostArray devirtualizes both into SIMD
 // clamp loops (support/simd.hpp); the message passing ViewWithDelta
-// forwards them to its private view.
+// forwards them to its private view. Writes have the span form add_row(),
+// with the same split: per-cell add() by default, one row loop on the grid
+// backings, and the delta-array span path behind ViewWithDelta.
 #pragma once
 
 #include <cstdint>
@@ -35,6 +37,16 @@ class CostView {
 
   /// Applies a commit (+1 per cell of a chosen path) or rip-up (-1).
   virtual void add(GridPoint p, std::int32_t delta) = 0;
+
+  /// Adds `delta` to every cell of row `channel`, columns [x_lo, x_hi]
+  /// inclusive — one run of a committed or ripped-up path. Default: add()
+  /// per cell in ascending x, so views that account individual writes (the
+  /// shared memory tracer) see exactly the per-cell sequence. Overrides must
+  /// leave the same state as that loop.
+  virtual void add_row(std::int32_t channel, std::int32_t x_lo, std::int32_t x_hi,
+                       std::int32_t delta) {
+    for (std::int32_t x = x_lo; x <= x_hi; ++x) add(GridPoint{channel, x}, delta);
+  }
 
   /// Bulk read of row `channel`, columns [x_lo, x_hi] inclusive, clamped
   /// like read(). Writes (x_hi - x_lo + 1) values into `span_out` (which

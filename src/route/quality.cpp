@@ -22,9 +22,10 @@ CostArray rebuild_cost(std::int32_t channels, std::int32_t grids,
                        std::span<const WireRoute> routes) {
   CostArray cost(channels, grids);
   for (const WireRoute& r : routes) {
-    for (const GridPoint& p : r.cells) {
-      cost.add(p, +1);
-    }
+    for_each_cell_run(r.cells, [&](std::int32_t channel, std::int32_t x_lo,
+                                   std::int32_t x_hi) {
+      cost.add_row(channel, x_lo, x_hi, +1);
+    });
   }
   return cost;
 }

@@ -57,8 +57,26 @@ std::vector<std::pair<std::size_t, std::size_t>> connection_pairs(
 
 Rect WireRoute::bbox() const {
   Rect box;
-  for (const GridPoint& p : cells) box.expand(p);
+  for_each_cell_run(cells, [&](std::int32_t channel, std::int32_t x_lo, std::int32_t x_hi) {
+    box.expand(Rect::of(channel, channel, x_lo, x_hi));
+  });
   return box;
+}
+
+std::int64_t price_cells(const std::vector<GridPoint>& cells, CostView& view) {
+  std::int64_t cost = 0;
+  if (view.supports_bulk_read()) {
+    thread_local std::vector<std::int32_t> run;
+    for_each_cell_run(cells, [&](std::int32_t channel, std::int32_t x_lo,
+                                 std::int32_t x_hi) {
+      run.resize(static_cast<std::size_t>(x_hi - x_lo + 1));
+      view.read_row(channel, x_lo, x_hi, run);
+      for (std::int32_t v : run) cost += v;
+    });
+  } else {
+    for (const GridPoint& p : cells) cost += view.read(p);
+  }
+  return cost;
 }
 
 WireRoute WireRouter::route_wire(const Wire& wire, CostView& view,
@@ -79,45 +97,26 @@ WireRoute WireRouter::route_wire(const Wire& wire, CostView& view,
   out.cells = collect_unique_cells(out.connections);
 
   // Price the final (deduplicated) path at decision time: this is the
-  // wire's occupancy-factor contribution, and each read is a probe. Cells
-  // are sorted (channel, then x), so each channel's cells form contiguous
-  // runs priced with one bulk read per run; views with side-effecting reads
-  // keep the exact per-cell path.
-  if (view.supports_bulk_read()) {
-    thread_local std::vector<std::int32_t> run;
-    std::size_t i = 0;
-    while (i < out.cells.size()) {
-      std::size_t j = i + 1;
-      while (j < out.cells.size() &&
-             out.cells[j].channel == out.cells[i].channel &&
-             out.cells[j].x == out.cells[j - 1].x + 1) {
-        ++j;
-      }
-      run.resize(j - i);
-      view.read_row(out.cells[i].channel, out.cells[i].x, out.cells[j - 1].x, run);
-      for (std::size_t k = 0; k < run.size(); ++k) out.path_cost += run[k];
-      i = j;
-    }
-  } else {
-    for (const GridPoint& p : out.cells) {
-      out.path_cost += view.read(p);
-    }
-  }
+  // wire's occupancy-factor contribution, and each read is a probe.
+  out.path_cost = price_cells(out.cells, view);
   stats.probes += static_cast<std::int64_t>(out.cells.size());
 
-  // Commit.
-  for (const GridPoint& p : out.cells) {
-    view.add(p, +1);
-  }
+  // Commit, one row span per run; the default add_row() keeps per-cell
+  // views on the exact per-cell sequence.
+  for_each_cell_run(out.cells, [&](std::int32_t channel, std::int32_t x_lo,
+                                   std::int32_t x_hi) {
+    view.add_row(channel, x_lo, x_hi, +1);
+  });
   stats.cells_committed += static_cast<std::int64_t>(out.cells.size());
   stats.wires_routed += 1;
   return out;
 }
 
 void WireRouter::rip_up(const WireRoute& route, CostView& view) {
-  for (const GridPoint& p : route.cells) {
-    view.add(p, -1);
-  }
+  for_each_cell_run(route.cells, [&](std::int32_t channel, std::int32_t x_lo,
+                                     std::int32_t x_hi) {
+    view.add_row(channel, x_lo, x_hi, -1);
+  });
 }
 
 }  // namespace locus

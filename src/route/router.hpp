@@ -45,6 +45,24 @@ struct WireRoute {
   Rect bbox() const;
 };
 
+/// Calls fn(channel, x_lo, x_hi) once per maximal stretch of entries of
+/// `cells` that sit in one channel at consecutive x, so every cell is
+/// covered exactly once. For cells sorted by channel, then x (as
+/// WireRoute::cells is) these are the path's row runs, in that order.
+template <typename Fn>
+void for_each_cell_run(const std::vector<GridPoint>& cells, Fn&& fn) {
+  std::size_t i = 0;
+  while (i < cells.size()) {
+    std::size_t j = i + 1;
+    while (j < cells.size() && cells[j].channel == cells[i].channel &&
+           cells[j].x == cells[j - 1].x + 1) {
+      ++j;
+    }
+    fn(cells[i].channel, cells[i].x, cells[j - 1].x);
+    i = j;
+  }
+}
+
 /// Aggregate work counters; drive both reporting and the simulated time
 /// model (probes are the unit of routing compute).
 struct RouteWorkStats {
@@ -62,16 +80,23 @@ struct RouteWorkStats {
   }
 };
 
+/// Sum of view.read() over `cells`, one read_row() per run when the view
+/// supports bulk reads (per-cell read() otherwise, so tracing views note
+/// every probe).
+std::int64_t price_cells(const std::vector<GridPoint>& cells, CostView& view);
+
 class WireRouter {
  public:
   WireRouter(std::int32_t channels, RouterParams params)
       : channels_(channels), params_(params) {}
 
-  /// Prices candidates against `view`, commits the chosen cells (+1 each)
-  /// and returns the route. Work counters accumulate into `stats`.
+  /// Prices candidates against `view`, commits the chosen cells (+1 each,
+  /// one add_row() per run) and returns the route. Work counters
+  /// accumulate into `stats`.
   WireRoute route_wire(const Wire& wire, CostView& view, RouteWorkStats& stats) const;
 
-  /// Reverses a previous commitment (-1 on each committed cell).
+  /// Reverses a previous commitment (-1 on each committed cell, one
+  /// add_row() per run).
   static void rip_up(const WireRoute& route, CostView& view);
 
   const RouterParams& params() const { return params_; }

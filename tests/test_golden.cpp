@@ -94,6 +94,34 @@ TEST(Golden, StalenessInvariants) {
   EXPECT_GT(rs.own_region_staleness, 1.0);
 }
 
+// Exact end-of-run staleness of dense 16-processor bnrE runs, recorded from
+// the per-cell staleness loop: the row-wise loop must sum the same errors.
+// Own-region staleness is pinned where it is nonzero (receiver-only and
+// silent schedules leave the owner behind).
+TEST(Golden, StalenessPinnedBnre) {
+  const Circuit c = make_bnre_like();
+  struct Pinned {
+    UpdateSchedule schedule;
+    bool batched;
+    double view;
+    double own;
+  };
+  const Pinned pinned[] = {
+      {UpdateSchedule::sender(2, 10), false, 3.520032991202346, 0.0},
+      {UpdateSchedule::sender(2, 10), true, 3.5212609970674489, 0.0},
+      {UpdateSchedule::receiver(2, 10), false, 4.3210410557184753, 2.8096774193548386},
+      {UpdateSchedule{}, false, 4.5008247800586512, 3.8266862170087976},
+  };
+  for (const Pinned& p : pinned) {
+    MpConfig config;
+    config.schedule = p.schedule;
+    config.shard.batch_updates = p.batched;
+    const MpRunResult r = run_message_passing(c, 16, config);
+    EXPECT_DOUBLE_EQ(r.view_staleness, p.view);
+    EXPECT_DOUBLE_EQ(r.own_region_staleness, p.own);
+  }
+}
+
 TEST(Golden, SingleProcViewIsTruth) {
   Circuit c = test::make_seeded_circuit();
   MpConfig config;

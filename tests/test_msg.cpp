@@ -181,6 +181,13 @@ struct ScheduleCase {
   bool blocking;
 };
 
+// Names the case by its fields: without a printer gtest dumps the struct's
+// bytes, padding included, and the discovered test names vary by build.
+void PrintTo(const ScheduleCase& sc, std::ostream* os) {
+  *os << "send " << sc.send_rmt << "/" << sc.send_loc << " request " << sc.req_loc
+      << "/" << sc.req_rmt << (sc.blocking ? " blocking" : " nonblocking");
+}
+
 class MpScheduleProperty : public ::testing::TestWithParam<ScheduleCase> {};
 
 TEST_P(MpScheduleProperty, RunInvariants) {
